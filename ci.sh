@@ -8,8 +8,14 @@ cd "$(dirname "$0")"
 echo "==> cargo build --release --workspace"
 cargo build --release --workspace
 
-echo "==> cargo test -q"
-cargo test -q
+echo "==> cargo test --workspace -q"
+cargo test --workspace -q
+
+echo "==> release tests of the byte-oriented codecs with overflow checks on"
+# A separate target dir keeps the overflow-checked build from replacing
+# the release artifacts the smokes below run.
+CARGO_TARGET_DIR=target/overflow-checks CARGO_PROFILE_RELEASE_OVERFLOW_CHECKS=true \
+    cargo test --release -q -p cdpu-snappy -p cdpu-lite
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings

@@ -22,6 +22,7 @@
 use crate::matcher_for_level;
 use cdpu_lz77::matcher::HashTableMatcher;
 use cdpu_lz77::window::{apply_copy, DecoderScratch};
+use cdpu_util::stream::{ElementCursor, ElementProgress, ElementStop};
 use cdpu_util::varint;
 
 /// Maximum offset the 16-bit field expresses (also the window size).
@@ -143,47 +144,86 @@ pub fn decompress_into<'a>(
 }
 
 fn decompress_impl(input: &[u8], out: &mut Vec<u8>) -> Result<(), Lz4Error> {
-    let (expected, mut pos) = varint::read_u64(input).map_err(|_| Lz4Error::BadPreamble)?;
+    let (expected, pos) = varint::read_u64(input).map_err(|_| Lz4Error::BadPreamble)?;
     // Reserve conservatively: the declared size is untrusted input, so cap
     // the up-front allocation and let the vector grow if the data is real.
     out.reserve((expected as usize).min(1 << 20));
-    while pos < input.len() {
-        let token = input[pos];
-        pos += 1;
-        // Literal run, varint-extended past a full nibble. The extension
-        // is untrusted and can be anything up to u64::MAX, so all length
-        // arithmetic stays in checked u64 and is bounded against the
-        // remaining input before the cast to usize.
-        let mut ll = (token >> 4) as u64;
-        if ll == 15 {
-            let (ext, used) = varint::read_u64(&input[pos..]).map_err(|_| Lz4Error::Truncated)?;
-            pos += used;
-            ll = ll.checked_add(ext).ok_or(Lz4Error::Truncated)?;
-        }
-        if ll > (input.len() - pos) as u64 {
-            return Err(Lz4Error::Truncated);
-        }
-        let lits = ll as usize;
-        out.extend_from_slice(&input[pos..pos + lits]);
-        pos += lits;
-        if out.len() as u64 > expected {
-            return Err(Lz4Error::LengthMismatch {
-                expected,
-                actual: out.len() as u64,
-            });
-        }
+    decode_sequences(&input[pos..], out, ElementCursor::whole(expected)).map(drop)
+}
+
+/// The LZ4-class sequence decoder, shared by the one-shot entry points
+/// and [`crate::stream::Lz4StreamDecoder`]: decodes whole sequences of
+/// `input` (the stream after its preamble) into `out` as `cur` directs.
+/// A sequence cut after its literals reports its token as the resume
+/// byte, and a call resuming with it starts at the match half.
+pub(crate) fn decode_sequences(
+    input: &[u8],
+    out: &mut Vec<u8>,
+    cur: ElementCursor,
+) -> Result<ElementProgress, Lz4Error> {
+    let room = cur.room();
+    let mut pos = 0;
+    let mut resume = cur.resume;
+    loop {
+        let token = match resume.take() {
+            Some(token) => token,
+            None => {
+                if pos >= input.len() || out.len() >= cur.limit {
+                    break;
+                }
+                let start = pos;
+                let token = input[pos];
+                pos += 1;
+                // Literal run, varint-extended past a full nibble. The
+                // extension is untrusted and can be anything up to
+                // u64::MAX, so all length arithmetic stays in checked u64
+                // and is bounded against the remaining input before the
+                // cast to usize.
+                let mut ll = (token >> 4) as u64;
+                if ll == 15 {
+                    let Some((ext, used)) = cur.ext_varint(&input[pos..], Lz4Error::Truncated)?
+                    else {
+                        return cur.cut(start, None, Lz4Error::Truncated);
+                    };
+                    pos += used;
+                    ll = ll.checked_add(ext).ok_or(Lz4Error::Truncated)?;
+                }
+                if ll > (input.len() - pos) as u64 {
+                    if cur.at_end {
+                        return Err(Lz4Error::Truncated);
+                    }
+                    return Ok(cur.split_literal(input, pos, ll, out, Some(token)));
+                }
+                let lits = ll as usize;
+                out.extend_from_slice(&input[pos..pos + lits]);
+                pos += lits;
+                if out.len() as u64 > room {
+                    return Err(Lz4Error::LengthMismatch {
+                        expected: cur.expected,
+                        actual: cur.base + out.len() as u64,
+                    });
+                }
+                token
+            }
+        };
         if pos == input.len() {
-            // Final literals-only sequence: no offset follows.
-            break;
+            if cur.at_end {
+                // Final literals-only sequence: no offset follows.
+                break;
+            }
+            return cur.cut(pos, Some(token), Lz4Error::Truncated);
         }
+        let start = pos;
         if pos + 2 > input.len() {
-            return Err(Lz4Error::Truncated);
+            return cur.cut(start, Some(token), Lz4Error::Truncated);
         }
         let offset = u16::from_le_bytes([input[pos], input[pos + 1]]) as u32;
         pos += 2;
         let mut n = (token & 0x0F) as u64;
         if n == 15 {
-            let (ext, used) = varint::read_u64(&input[pos..]).map_err(|_| Lz4Error::Truncated)?;
+            let Some((ext, used)) = cur.ext_varint(&input[pos..], Lz4Error::Truncated)? else {
+                return cur.cut(start, Some(token), Lz4Error::Truncated);
+            };
             pos += used;
             n = n.checked_add(ext).ok_or(Lz4Error::Truncated)?;
         }
@@ -191,10 +231,10 @@ fn decompress_impl(input: &[u8], out: &mut Vec<u8>) -> Result<(), Lz4Error> {
         // output past the declared size, and must fit the u32 copy width
         // rather than silently truncating.
         let copy = n.checked_add(4).ok_or(Lz4Error::Truncated)?;
-        if copy > expected.saturating_sub(out.len() as u64) {
+        if copy > room.saturating_sub(out.len() as u64) {
             return Err(Lz4Error::LengthMismatch {
-                expected,
-                actual: (out.len() as u64).saturating_add(copy),
+                expected: cur.expected,
+                actual: (cur.base + out.len() as u64).saturating_add(copy),
             });
         }
         if copy > u32::MAX as u64 {
@@ -202,13 +242,11 @@ fn decompress_impl(input: &[u8], out: &mut Vec<u8>) -> Result<(), Lz4Error> {
         }
         apply_copy(out, offset, copy as u32).map_err(|_| Lz4Error::BadOffset)?;
     }
-    if out.len() as u64 != expected {
-        return Err(Lz4Error::LengthMismatch {
-            expected,
-            actual: out.len() as u64,
-        });
+    let actual = cur.base + out.len() as u64;
+    if cur.at_end && actual != cur.expected {
+        return Err(Lz4Error::LengthMismatch { expected: cur.expected, actual });
     }
-    Ok(())
+    Ok(ElementProgress { pos, stop: ElementStop::Boundary, resume: None })
 }
 
 #[cfg(test)]

@@ -16,6 +16,7 @@
 use crate::matcher_for_level;
 use cdpu_lz77::matcher::HashTableMatcher;
 use cdpu_lz77::window::{apply_copy, DecoderScratch};
+use cdpu_util::stream::{ElementCursor, ElementProgress, ElementStop};
 use cdpu_util::varint;
 
 /// Maximum offset the 16-bit field expresses (also the window size).
@@ -147,11 +148,25 @@ pub fn decompress_into<'a>(
 }
 
 fn decompress_impl(input: &[u8], out: &mut Vec<u8>) -> Result<(), LzoError> {
-    let (expected, mut pos) = varint::read_u64(input).map_err(|_| LzoError::BadPreamble)?;
+    let (expected, pos) = varint::read_u64(input).map_err(|_| LzoError::BadPreamble)?;
     // Reserve conservatively: the declared size is untrusted input, so cap
     // the up-front allocation and let the vector grow if the data is real.
     out.reserve((expected as usize).min(1 << 20));
-    while pos < input.len() {
+    decode_tokens(&input[pos..], out, ElementCursor::whole(expected)).map(drop)
+}
+
+/// The LZO-class token decoder, shared by the one-shot entry points and
+/// [`crate::stream::LzoStreamDecoder`]: decodes whole tokens of `input`
+/// (the stream after its preamble) into `out` as `cur` directs.
+pub(crate) fn decode_tokens(
+    input: &[u8],
+    out: &mut Vec<u8>,
+    cur: ElementCursor,
+) -> Result<ElementProgress, LzoError> {
+    let room = cur.room();
+    let mut pos = 0;
+    while pos < input.len() && out.len() < cur.limit {
+        let start = pos;
         let token = input[pos];
         pos += 1;
         if token & 0x80 == 0 {
@@ -160,14 +175,19 @@ fn decompress_impl(input: &[u8], out: &mut Vec<u8>) -> Result<(), LzoError> {
             // bounded against the remaining input before the cast.
             let mut n = (token & 0x7F) as u64;
             if n == 0x7F {
-                let (ext, used) =
-                    varint::read_u64(&input[pos..]).map_err(|_| LzoError::Truncated)?;
+                let Some((ext, used)) = cur.ext_varint(&input[pos..], LzoError::Truncated)?
+                else {
+                    return cur.cut(start, None, LzoError::Truncated);
+                };
                 pos += used;
                 n = n.checked_add(ext).ok_or(LzoError::Truncated)?;
             }
             let len = n.checked_add(1).ok_or(LzoError::Truncated)?;
             if len > (input.len() - pos) as u64 {
-                return Err(LzoError::Truncated);
+                if cur.at_end {
+                    return Err(LzoError::Truncated);
+                }
+                return Ok(cur.split_literal(input, pos, len, out, None));
             }
             let len = len as usize;
             out.extend_from_slice(&input[pos..pos + len]);
@@ -175,7 +195,7 @@ fn decompress_impl(input: &[u8], out: &mut Vec<u8>) -> Result<(), LzoError> {
         } else if token & 0x40 == 0 {
             // Short match: 3-bit length, 11-bit offset.
             if pos + 1 > input.len() {
-                return Err(LzoError::Truncated);
+                return cur.cut(start, None, LzoError::Truncated);
             }
             let len = 4 + ((token >> 3) & 0x7) as u32;
             let offset = (((token & 0x7) as u32) << 8) | input[pos] as u32;
@@ -185,13 +205,15 @@ fn decompress_impl(input: &[u8], out: &mut Vec<u8>) -> Result<(), LzoError> {
             // Long match: 6-bit length (varint-extended), 16-bit offset.
             let mut n = (token & 0x3F) as u64;
             if n == 0x3F {
-                let (ext, used) =
-                    varint::read_u64(&input[pos..]).map_err(|_| LzoError::Truncated)?;
+                let Some((ext, used)) = cur.ext_varint(&input[pos..], LzoError::Truncated)?
+                else {
+                    return cur.cut(start, None, LzoError::Truncated);
+                };
                 pos += used;
                 n = n.checked_add(ext).ok_or(LzoError::Truncated)?;
             }
             if pos + 2 > input.len() {
-                return Err(LzoError::Truncated);
+                return cur.cut(start, None, LzoError::Truncated);
             }
             let offset = u16::from_le_bytes([input[pos], input[pos + 1]]) as u32;
             pos += 2;
@@ -199,10 +221,10 @@ fn decompress_impl(input: &[u8], out: &mut Vec<u8>) -> Result<(), LzoError> {
             // output past the declared size, and must fit the u32 copy
             // width rather than silently truncating.
             let copy = n.checked_add(4).ok_or(LzoError::Truncated)?;
-            if copy > expected.saturating_sub(out.len() as u64) {
+            if copy > room.saturating_sub(out.len() as u64) {
                 return Err(LzoError::LengthMismatch {
-                    expected,
-                    actual: (out.len() as u64).saturating_add(copy),
+                    expected: cur.expected,
+                    actual: (cur.base + out.len() as u64).saturating_add(copy),
                 });
             }
             if copy > u32::MAX as u64 {
@@ -210,20 +232,18 @@ fn decompress_impl(input: &[u8], out: &mut Vec<u8>) -> Result<(), LzoError> {
             }
             apply_copy(out, offset, copy as u32).map_err(|_| LzoError::BadOffset)?;
         }
-        if out.len() as u64 > expected {
+        if out.len() as u64 > room {
             return Err(LzoError::LengthMismatch {
-                expected,
-                actual: out.len() as u64,
+                expected: cur.expected,
+                actual: cur.base + out.len() as u64,
             });
         }
     }
-    if out.len() as u64 != expected {
-        return Err(LzoError::LengthMismatch {
-            expected,
-            actual: out.len() as u64,
-        });
+    let actual = cur.base + out.len() as u64;
+    if cur.at_end && actual != cur.expected {
+        return Err(LzoError::LengthMismatch { expected: cur.expected, actual });
     }
-    Ok(())
+    Ok(ElementProgress { pos, stop: ElementStop::Boundary, resume: None })
 }
 
 #[cfg(test)]

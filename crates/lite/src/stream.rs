@@ -1,15 +1,21 @@
 //! Streaming adapters for the lightweight codecs, byte-identical to the
 //! one-shot entry points.
 //!
-//! The LZO- and LZ4-class coders stream natively: encoders feed a
+//! The LZO- and LZ4-class coders stream natively. Encoders feed a
 //! [`StreamParser`] configured by the shared [`matcher_for_level`] ladder
 //! (with offsets folded at the 16-bit field ceiling, exactly like the
 //! one-shot paths' `fold_matches_beyond`) and serialize events with the
-//! same `emit_*` helpers; decoders are resumable token state machines
-//! over a sliding [`HistBuf`] whose error values match the one-shot
-//! decoders for valid, truncated, and hostile streams alike. Both
-//! formats cap offsets at 65535, which the retained 64 KiB window always
-//! covers — unlike Snappy there is no hostile-offset divergence.
+//! same `emit_*` helpers. Decoders run the codec's one element decoder,
+//! the loop behind `decompress`, over each pushed window straight into a
+//! sliding [`HistBuf`](cdpu_util::stream::HistBuf) ([`ElementDecoder`]).
+//! Between pushes they keep only the length preamble's varint, a fixed
+//! carry holding one element header cut by the window edge (for LZ4 this
+//! includes a sequence's match half, whose token travels as the resume
+//! byte), and the remainder of a literal split by the edge. Error values
+//! match the one-shot decoders for valid, truncated and hostile streams
+//! alike. Both formats cap offsets at 65535, which the retained 64 KiB
+//! window always covers, so unlike Snappy there is no hostile-offset
+//! divergence.
 //!
 //! The Gipfeli-class coder is *not* streamable: its fixed-layout literal
 //! code is built from a histogram over the whole literal stream, and the
@@ -23,9 +29,9 @@ use crate::lz4::{self, Lz4Error};
 use crate::lzo::{self, LzoError};
 use crate::matcher_for_level;
 use cdpu_lz77::stream::{ParseEvent, StreamParser};
-use cdpu_lz77::window::apply_copy;
 use cdpu_util::stream::{
-    HistBuf, OutBuf, StreamDecoder, StreamEncoder, StreamError, StreamProgress, VarintAccum,
+    ElementCursor, ElementDecoder, ElementGrammar, ElementProgress, OutBuf, StreamDecoder,
+    StreamEncoder, StreamError, StreamProgress,
 };
 use cdpu_util::varint;
 
@@ -119,274 +125,32 @@ impl StreamEncoder for LzoStreamEncoder {
     }
 }
 
-/// Where the LZO decoder's token cursor sits between pushes.
-enum LzoState {
-    /// Reading the uncompressed-length varint preamble.
-    Preamble,
-    /// At a token boundary.
-    Token,
-    /// Collecting the varint extension of a chained literal count.
-    LitExt,
-    /// Copying literal payload through (`swallow`: see snappy's decoder —
-    /// the run already overran the declared length and is consumed but
-    /// discarded, the pending `LengthMismatch` firing on completion).
-    LitBytes { remaining: u64, swallow: bool },
-    /// Collecting the short-match offset byte.
-    ShortOff { token: u8 },
-    /// Collecting the varint extension of a chained long-match length.
-    LongExt,
-    /// Collecting the two long-match offset bytes.
-    LongOff { n: u64, got: [u8; 2], have: usize },
+/// The LZO-class token grammar for [`ElementDecoder`].
+pub struct LzoGrammar;
+
+impl ElementGrammar for LzoGrammar {
+    type Error = LzoError;
+    const BAD_PREAMBLE: LzoError = LzoError::BadPreamble;
+    const MAX_LEN: u64 = u64::MAX;
+    const WINDOW: usize = WINDOW_SIZE;
+    const CUT_LITERAL: LzoError = LzoError::Truncated;
+
+    fn length_mismatch(expected: u64, actual: u64) -> LzoError {
+        LzoError::LengthMismatch { expected, actual }
+    }
+
+    fn decode(
+        input: &[u8],
+        out: &mut Vec<u8>,
+        cursor: ElementCursor,
+    ) -> Result<ElementProgress, LzoError> {
+        lzo::decode_tokens(input, out, cursor)
+    }
 }
 
 /// Streaming LZO-class decompressor; see the module docs for the
 /// parity contract.
-pub struct LzoStreamDecoder {
-    state: LzoState,
-    accum: VarintAccum,
-    expected: u64,
-    pending_overrun: Option<u64>,
-    hist: HistBuf,
-    err: Option<LzoError>,
-    finished: bool,
-}
-
-impl Default for LzoStreamDecoder {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl LzoStreamDecoder {
-    /// Creates a decoder positioned at the length preamble.
-    pub fn new() -> Self {
-        LzoStreamDecoder {
-            state: LzoState::Preamble,
-            accum: VarintAccum::new(),
-            expected: 0,
-            pending_overrun: None,
-            hist: HistBuf::new(WINDOW_SIZE),
-            err: None,
-            finished: false,
-        }
-    }
-
-    fn enter_literal(&mut self, len: u64) {
-        let overrun = self.hist.produced() + len > self.expected;
-        if overrun {
-            self.pending_overrun = Some(self.hist.produced() + len);
-        }
-        self.state = LzoState::LitBytes { remaining: len, swallow: overrun };
-    }
-
-    /// Applies a match, in the one-shot decoder's exact check order.
-    fn apply_long(&mut self, n: u64, offset: u32) -> Result<(), LzoError> {
-        let produced = self.hist.produced();
-        let copy = n.checked_add(4).ok_or(LzoError::Truncated)?;
-        if copy > self.expected.saturating_sub(produced) {
-            return Err(LzoError::LengthMismatch {
-                expected: self.expected,
-                actual: produced.saturating_add(copy),
-            });
-        }
-        if copy > u32::MAX as u64 {
-            return Err(LzoError::Truncated);
-        }
-        if offset == 0 || offset as u64 > produced {
-            return Err(LzoError::BadOffset);
-        }
-        apply_copy(self.hist.sink(), offset, copy as u32).map_err(|_| LzoError::BadOffset)
-    }
-
-    fn apply_short(&mut self, offset: u32, len: u32) -> Result<(), LzoError> {
-        let produced = self.hist.produced();
-        if offset == 0 || offset as u64 > produced {
-            return Err(LzoError::BadOffset);
-        }
-        apply_copy(self.hist.sink(), offset, len).map_err(|_| LzoError::BadOffset)?;
-        if produced + len as u64 > self.expected {
-            return Err(LzoError::LengthMismatch {
-                expected: self.expected,
-                actual: produced + len as u64,
-            });
-        }
-        Ok(())
-    }
-
-    /// Feeds compressed bytes; the trait `push` with the codec's precise
-    /// error type. Errors are sticky.
-    ///
-    /// # Errors
-    ///
-    /// The same [`LzoError`] values [`lzo::decompress`] reports at the
-    /// equivalent point in the token stream.
-    pub fn push_bytes(
-        &mut self,
-        input: &[u8],
-        out: &mut [u8],
-    ) -> Result<StreamProgress, LzoError> {
-        if let Some(e) = self.err {
-            return Err(e);
-        }
-        let mut i = 0;
-        while i < input.len() && self.hist.undrained() < HIGH_WATER {
-            if let Err(e) = self.step(input, &mut i) {
-                self.err = Some(e);
-                return Err(e);
-            }
-        }
-        let written = self.hist.drain_into(out);
-        Ok(StreamProgress { consumed: i, written })
-    }
-
-    fn step(&mut self, input: &[u8], i: &mut usize) -> Result<(), LzoError> {
-        match self.state {
-            LzoState::Preamble => {
-                let (used, done) = self.accum.feed(&input[*i..]);
-                *i += used;
-                if let Some(res) = done {
-                    let v = res.map_err(|_| LzoError::BadPreamble)?;
-                    self.expected = v;
-                    self.accum = VarintAccum::new();
-                    self.state = LzoState::Token;
-                }
-            }
-            LzoState::Token => {
-                let token = input[*i];
-                *i += 1;
-                if token & 0x80 == 0 {
-                    if token == 0x7F {
-                        self.state = LzoState::LitExt;
-                    } else {
-                        self.enter_literal(token as u64 + 1);
-                    }
-                } else if token & 0x40 == 0 {
-                    self.state = LzoState::ShortOff { token };
-                } else if token & 0x3F == 0x3F {
-                    self.state = LzoState::LongExt;
-                } else {
-                    self.state = LzoState::LongOff { n: (token & 0x3F) as u64, got: [0; 2], have: 0 };
-                }
-            }
-            LzoState::LitExt => {
-                let (used, done) = self.accum.feed(&input[*i..]);
-                *i += used;
-                if let Some(res) = done {
-                    let ext = res.map_err(|_| LzoError::Truncated)?;
-                    self.accum = VarintAccum::new();
-                    let n = 0x7Fu64.checked_add(ext).ok_or(LzoError::Truncated)?;
-                    let len = n.checked_add(1).ok_or(LzoError::Truncated)?;
-                    self.enter_literal(len);
-                }
-            }
-            LzoState::LitBytes { remaining, swallow } => {
-                let take = remaining.min((input.len() - *i) as u64) as usize;
-                if !swallow {
-                    self.hist.sink().extend_from_slice(&input[*i..*i + take]);
-                }
-                *i += take;
-                let remaining = remaining - take as u64;
-                if remaining == 0 {
-                    if swallow {
-                        return Err(LzoError::LengthMismatch {
-                            expected: self.expected,
-                            actual: self.pending_overrun.take().unwrap_or(0),
-                        });
-                    }
-                    self.state = LzoState::Token;
-                } else {
-                    self.state = LzoState::LitBytes { remaining, swallow };
-                }
-            }
-            LzoState::ShortOff { token } => {
-                let b = input[*i];
-                *i += 1;
-                let len = 4 + ((token >> 3) & 0x7) as u32;
-                let offset = (((token & 0x7) as u32) << 8) | b as u32;
-                self.apply_short(offset, len)?;
-                self.state = LzoState::Token;
-            }
-            LzoState::LongExt => {
-                let (used, done) = self.accum.feed(&input[*i..]);
-                *i += used;
-                if let Some(res) = done {
-                    let ext = res.map_err(|_| LzoError::Truncated)?;
-                    self.accum = VarintAccum::new();
-                    let n = 0x3Fu64.checked_add(ext).ok_or(LzoError::Truncated)?;
-                    self.state = LzoState::LongOff { n, got: [0; 2], have: 0 };
-                }
-            }
-            LzoState::LongOff { n, mut got, mut have } => {
-                while have < 2 && *i < input.len() {
-                    got[have] = input[*i];
-                    have += 1;
-                    *i += 1;
-                }
-                if have == 2 {
-                    let offset = u16::from_le_bytes(got) as u32;
-                    self.apply_long(n, offset)?;
-                    self.state = LzoState::Token;
-                } else {
-                    self.state = LzoState::LongOff { n, got, have };
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Declares end-of-input; the trait `finish` with the codec's precise
-    /// error type.
-    ///
-    /// # Errors
-    ///
-    /// The same [`LzoError`] [`lzo::decompress`] reports for the
-    /// equivalent truncated stream.
-    pub fn finish_bytes(&mut self, out: &mut [u8]) -> Result<(usize, bool), LzoError> {
-        if let Some(e) = self.err {
-            return Err(e);
-        }
-        if !self.finished {
-            let end_err = match self.state {
-                LzoState::Preamble => Some(LzoError::BadPreamble),
-                LzoState::Token => None,
-                // Truncation mid-element is Truncated everywhere in this
-                // format (the one-shot decoder has no BadLiteral case).
-                LzoState::LitExt
-                | LzoState::LitBytes { .. }
-                | LzoState::ShortOff { .. }
-                | LzoState::LongExt
-                | LzoState::LongOff { .. } => Some(LzoError::Truncated),
-            };
-            let end_err = end_err.or_else(|| {
-                (self.hist.produced() != self.expected).then(|| LzoError::LengthMismatch {
-                    expected: self.expected,
-                    actual: self.hist.produced(),
-                })
-            });
-            if let Some(e) = end_err {
-                self.err = Some(e);
-                return Err(e);
-            }
-            self.finished = true;
-        }
-        let n = self.hist.drain_into(out);
-        Ok((n, self.hist.undrained() == 0))
-    }
-}
-
-impl StreamDecoder for LzoStreamDecoder {
-    fn push(&mut self, input: &[u8], out: &mut [u8]) -> Result<StreamProgress, StreamError> {
-        self.push_bytes(input, out).map_err(|e| StreamError::Corrupt(e.to_string()))
-    }
-
-    fn finish(&mut self, out: &mut [u8]) -> Result<(usize, bool), StreamError> {
-        self.finish_bytes(out).map_err(|e| StreamError::Corrupt(e.to_string()))
-    }
-
-    fn scratch_bytes(&self) -> usize {
-        self.hist.capacity()
-    }
-}
+pub type LzoStreamDecoder = ElementDecoder<LzoGrammar>;
 
 // ---------------------------------------------------------------------------
 // LZ4-class
@@ -470,255 +234,32 @@ impl StreamEncoder for Lz4StreamEncoder {
     }
 }
 
-/// Where the LZ4 decoder's sequence cursor sits between pushes.
-enum Lz4State {
-    /// Reading the uncompressed-length varint preamble.
-    Preamble,
-    /// At a sequence boundary, expecting a token byte.
-    Token,
-    /// Collecting the varint extension of a chained literal count.
-    LitExt { token: u8 },
-    /// Copying literal payload through (swallow: as in the LZO decoder).
-    LitBytes { token: u8, remaining: u64, swallow: bool },
-    /// Literals done; end-of-stream here is the legal final sequence,
-    /// otherwise the two offset bytes follow.
-    AfterLits { token: u8 },
-    /// Collecting the two match-offset bytes.
-    MatchOff { token: u8, got: [u8; 2], have: usize },
-    /// Collecting the varint extension of a chained match length.
-    MatchExt { offset: u32 },
+/// The LZ4-class sequence grammar for [`ElementDecoder`].
+pub struct Lz4Grammar;
+
+impl ElementGrammar for Lz4Grammar {
+    type Error = Lz4Error;
+    const BAD_PREAMBLE: Lz4Error = Lz4Error::BadPreamble;
+    const MAX_LEN: u64 = u64::MAX;
+    const WINDOW: usize = WINDOW_SIZE;
+    const CUT_LITERAL: Lz4Error = Lz4Error::Truncated;
+
+    fn length_mismatch(expected: u64, actual: u64) -> Lz4Error {
+        Lz4Error::LengthMismatch { expected, actual }
+    }
+
+    fn decode(
+        input: &[u8],
+        out: &mut Vec<u8>,
+        cursor: ElementCursor,
+    ) -> Result<ElementProgress, Lz4Error> {
+        lz4::decode_sequences(input, out, cursor)
+    }
 }
 
 /// Streaming LZ4-class decompressor; see the module docs for the
 /// parity contract.
-pub struct Lz4StreamDecoder {
-    state: Lz4State,
-    accum: VarintAccum,
-    expected: u64,
-    pending_overrun: Option<u64>,
-    hist: HistBuf,
-    err: Option<Lz4Error>,
-    finished: bool,
-}
-
-impl Default for Lz4StreamDecoder {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Lz4StreamDecoder {
-    /// Creates a decoder positioned at the length preamble.
-    pub fn new() -> Self {
-        Lz4StreamDecoder {
-            state: Lz4State::Preamble,
-            accum: VarintAccum::new(),
-            expected: 0,
-            pending_overrun: None,
-            hist: HistBuf::new(WINDOW_SIZE),
-            err: None,
-            finished: false,
-        }
-    }
-
-    fn enter_literal(&mut self, token: u8, len: u64) {
-        if len == 0 {
-            self.state = Lz4State::AfterLits { token };
-            return;
-        }
-        let overrun = self.hist.produced() + len > self.expected;
-        if overrun {
-            self.pending_overrun = Some(self.hist.produced() + len);
-        }
-        self.state = Lz4State::LitBytes { token, remaining: len, swallow: overrun };
-    }
-
-    /// Applies a match, in the one-shot decoder's exact check order.
-    fn apply(&mut self, offset: u32, n: u64) -> Result<(), Lz4Error> {
-        let produced = self.hist.produced();
-        let copy = n.checked_add(4).ok_or(Lz4Error::Truncated)?;
-        if copy > self.expected.saturating_sub(produced) {
-            return Err(Lz4Error::LengthMismatch {
-                expected: self.expected,
-                actual: produced.saturating_add(copy),
-            });
-        }
-        if copy > u32::MAX as u64 {
-            return Err(Lz4Error::Truncated);
-        }
-        if offset == 0 || offset as u64 > produced {
-            return Err(Lz4Error::BadOffset);
-        }
-        apply_copy(self.hist.sink(), offset, copy as u32).map_err(|_| Lz4Error::BadOffset)
-    }
-
-    /// Feeds compressed bytes; the trait `push` with the codec's precise
-    /// error type. Errors are sticky.
-    ///
-    /// # Errors
-    ///
-    /// The same [`Lz4Error`] values [`lz4::decompress`] reports at the
-    /// equivalent point in the sequence stream.
-    pub fn push_bytes(
-        &mut self,
-        input: &[u8],
-        out: &mut [u8],
-    ) -> Result<StreamProgress, Lz4Error> {
-        if let Some(e) = self.err {
-            return Err(e);
-        }
-        let mut i = 0;
-        while i < input.len() && self.hist.undrained() < HIGH_WATER {
-            if let Err(e) = self.step(input, &mut i) {
-                self.err = Some(e);
-                return Err(e);
-            }
-        }
-        let written = self.hist.drain_into(out);
-        Ok(StreamProgress { consumed: i, written })
-    }
-
-    fn step(&mut self, input: &[u8], i: &mut usize) -> Result<(), Lz4Error> {
-        match self.state {
-            Lz4State::Preamble => {
-                let (used, done) = self.accum.feed(&input[*i..]);
-                *i += used;
-                if let Some(res) = done {
-                    let v = res.map_err(|_| Lz4Error::BadPreamble)?;
-                    self.expected = v;
-                    self.accum = VarintAccum::new();
-                    self.state = Lz4State::Token;
-                }
-            }
-            Lz4State::Token => {
-                let token = input[*i];
-                *i += 1;
-                if token >> 4 == 15 {
-                    self.state = Lz4State::LitExt { token };
-                } else {
-                    self.enter_literal(token, (token >> 4) as u64);
-                }
-            }
-            Lz4State::LitExt { token } => {
-                let (used, done) = self.accum.feed(&input[*i..]);
-                *i += used;
-                if let Some(res) = done {
-                    let ext = res.map_err(|_| Lz4Error::Truncated)?;
-                    self.accum = VarintAccum::new();
-                    let ll = 15u64.checked_add(ext).ok_or(Lz4Error::Truncated)?;
-                    self.enter_literal(token, ll);
-                }
-            }
-            Lz4State::LitBytes { token, remaining, swallow } => {
-                let take = remaining.min((input.len() - *i) as u64) as usize;
-                if !swallow {
-                    self.hist.sink().extend_from_slice(&input[*i..*i + take]);
-                }
-                *i += take;
-                let remaining = remaining - take as u64;
-                if remaining == 0 {
-                    if swallow {
-                        return Err(Lz4Error::LengthMismatch {
-                            expected: self.expected,
-                            actual: self.pending_overrun.take().unwrap_or(0),
-                        });
-                    }
-                    self.state = Lz4State::AfterLits { token };
-                } else {
-                    self.state = Lz4State::LitBytes { token, remaining, swallow };
-                }
-            }
-            Lz4State::AfterLits { token } => {
-                self.state = Lz4State::MatchOff { token, got: [0; 2], have: 0 };
-            }
-            Lz4State::MatchOff { token, mut got, mut have } => {
-                while have < 2 && *i < input.len() {
-                    got[have] = input[*i];
-                    have += 1;
-                    *i += 1;
-                }
-                if have == 2 {
-                    let offset = u16::from_le_bytes(got) as u32;
-                    if token & 0x0F == 15 {
-                        self.state = Lz4State::MatchExt { offset };
-                    } else {
-                        self.apply(offset, (token & 0x0F) as u64)?;
-                        self.state = Lz4State::Token;
-                    }
-                } else {
-                    self.state = Lz4State::MatchOff { token, got, have };
-                }
-            }
-            Lz4State::MatchExt { offset } => {
-                let (used, done) = self.accum.feed(&input[*i..]);
-                *i += used;
-                if let Some(res) = done {
-                    let ext = res.map_err(|_| Lz4Error::Truncated)?;
-                    self.accum = VarintAccum::new();
-                    let n = 15u64.checked_add(ext).ok_or(Lz4Error::Truncated)?;
-                    self.apply(offset, n)?;
-                    self.state = Lz4State::Token;
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Declares end-of-input; the trait `finish` with the codec's precise
-    /// error type.
-    ///
-    /// # Errors
-    ///
-    /// The same [`Lz4Error`] [`lz4::decompress`] reports for the
-    /// equivalent truncated stream.
-    pub fn finish_bytes(&mut self, out: &mut [u8]) -> Result<(usize, bool), Lz4Error> {
-        if let Some(e) = self.err {
-            return Err(e);
-        }
-        if !self.finished {
-            let end_err = match self.state {
-                Lz4State::Preamble => Some(Lz4Error::BadPreamble),
-                // A stream may legally end at a sequence boundary or
-                // right after a final literals-only sequence.
-                Lz4State::Token | Lz4State::AfterLits { .. } => None,
-                // Only 0 or 1 of the two offset bytes arrived: the
-                // one-shot decoder's `pos + 2 > len` check. Zero arrived
-                // is unreachable (AfterLits only advances on input).
-                Lz4State::LitExt { .. }
-                | Lz4State::LitBytes { .. }
-                | Lz4State::MatchOff { .. }
-                | Lz4State::MatchExt { .. } => Some(Lz4Error::Truncated),
-            };
-            let end_err = end_err.or_else(|| {
-                (self.hist.produced() != self.expected).then(|| Lz4Error::LengthMismatch {
-                    expected: self.expected,
-                    actual: self.hist.produced(),
-                })
-            });
-            if let Some(e) = end_err {
-                self.err = Some(e);
-                return Err(e);
-            }
-            self.finished = true;
-        }
-        let n = self.hist.drain_into(out);
-        Ok((n, self.hist.undrained() == 0))
-    }
-}
-
-impl StreamDecoder for Lz4StreamDecoder {
-    fn push(&mut self, input: &[u8], out: &mut [u8]) -> Result<StreamProgress, StreamError> {
-        self.push_bytes(input, out).map_err(|e| StreamError::Corrupt(e.to_string()))
-    }
-
-    fn finish(&mut self, out: &mut [u8]) -> Result<(usize, bool), StreamError> {
-        self.finish_bytes(out).map_err(|e| StreamError::Corrupt(e.to_string()))
-    }
-
-    fn scratch_bytes(&self) -> usize {
-        self.hist.capacity()
-    }
-}
+pub type Lz4StreamDecoder = ElementDecoder<Lz4Grammar>;
 
 // ---------------------------------------------------------------------------
 // Gipfeli-class (buffered adapter)

@@ -2,9 +2,10 @@
 //! streams through the LZ4-class encoder and decoder within a fixed
 //! scratch budget, the peak does not grow with call size, and the drive
 //! helpers publish it in the `stream.scratch.peak_bytes` telemetry
-//! gauge.
+//! gauge. The LZO-class decoder is held to the same budget.
 
-use cdpu_lite::stream::{Lz4StreamDecoder, Lz4StreamEncoder};
+use cdpu_lite::lzo;
+use cdpu_lite::stream::{Lz4StreamDecoder, Lz4StreamEncoder, LzoStreamDecoder};
 use cdpu_util::rng::Xoshiro256;
 use cdpu_util::stream::{drive_decoder, drive_encoder};
 
@@ -82,3 +83,28 @@ fn peak_scratch_does_not_grow_with_call_size() {
     assert!(dec_big <= dec_small + slack, "decoder scratch grew: {dec_small} -> {dec_big}");
     assert!(enc_big <= BUDGET && dec_big <= BUDGET);
 }
+
+/// One-shot encodes `total` bytes, streams them back through the
+/// LZO-class decoder, and returns its peak scratch.
+fn lzo_decode_peak(total: usize) -> usize {
+    let data = synthetic(total);
+    let stream = lzo::compress(&data);
+    let mut out = Vec::new();
+    let peak = drive_decoder(&mut LzoStreamDecoder::new(), &stream, CHUNK, &mut out)
+        .expect("own stream decodes");
+    assert_eq!(out, data, "streaming decode must be identity");
+    peak
+}
+
+#[test]
+fn lzo_decoder_scratch_is_bounded_and_flat() {
+    let small = lzo_decode_peak(8 << 20);
+    let big = lzo_decode_peak(64 << 20);
+    assert!(big <= DECODE_BOUND, "decoder peak {big} over {DECODE_BOUND}");
+    assert!(big <= small + (64 << 10), "decoder scratch grew: {small} -> {big}");
+}
+
+/// The decoders retain the 64 KiB window, the 64 KiB of drained history
+/// compacted in bulk and the 256 KiB undrained high-water mark, plus
+/// the element that crosses it and the allocator's rounding.
+const DECODE_BOUND: usize = 1 << 20;

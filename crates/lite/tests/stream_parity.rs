@@ -10,6 +10,7 @@ use cdpu_util::rng::Xoshiro256;
 use cdpu_util::stream::{
     drive_decoder, drive_encoder, StreamDecoder, StreamEncoder, StreamProgress,
 };
+use cdpu_util::varint;
 
 const CHUNKS: &[usize] = &[1, 3, 7, 64, 251, 4096, usize::MAX];
 
@@ -172,6 +173,7 @@ fn hostile_stream_error_parity() {
         vec![8, 0x7F, 0x80],       // lzo: literal ext varint truncated
         vec![8, 0xC0 | 0x3F, 0x80], // lzo: long match ext truncated
         vec![8, 0xFF, 0xFF, 0x7F, 0x01, 0x00], // lzo: ballooning match length
+        [&[8, 0xFF][..], &[0x80; 11], &[0x01, 0x00]].concat(), // lzo: overlong match ext
         vec![4, 0x05, b'a', b'b', b'c', b'd', b'e', b'f'], // lzo: literal overruns promise
     ];
     let base = lzo::compress(&b"abcabcabcabcabcabc_tail".repeat(8));
@@ -179,6 +181,26 @@ fn hostile_stream_error_parity() {
         let mut m = base.clone();
         m[i] ^= 0x44;
         streams.push(m);
+    }
+    // The max-varint extensions of decode_equivalence.rs, behind one
+    // valid sequence ("a" then a 4-byte copy) so output exists when the
+    // hostile length arrives, plus a run count landing the run length
+    // itself on u64::MAX.
+    let seq = [0x00, b'a', 0x80, 0x01];
+    for (declared, token, ext, offset) in [
+        (8, 0x7F, u64::MAX, &[][..]),
+        (8, 0x7F, u64::MAX - 0x7F, &[]),
+        (8, 0x7F, u64::MAX - 0x80, &[]),
+        (8, 0xFF, u64::MAX, &[0x01, 0x00]),
+        (1 << 40, 0xFF, (1u64 << 33) - 0x3F - 4, &[0x01, 0x00]),
+    ] {
+        let mut s = Vec::new();
+        varint::write_u64(&mut s, declared);
+        s.extend_from_slice(&seq);
+        s.push(token);
+        varint::write_u64(&mut s, ext);
+        s.extend_from_slice(offset);
+        streams.push(s);
     }
     for s in &streams {
         let want = lzo::decompress(s);
@@ -201,12 +223,30 @@ fn hostile_stream_error_parity() {
         vec![8, 0x4F, b'a', b'b', b'c', b'd', 0x01, 0x00, 0xFF, 0x7F], // ballooning match
         vec![4, 0x60, b'a', b'b', b'c', b'd', b'e', b'f'], // literals overrun promise
         vec![8, 0x40, b'a', 0x01],       // offset truncated to one byte
+        [&[8, 0x1F, b'a', 0x01, 0x00][..], &[0x80; 11]].concat(), // overlong match ext
     ];
     let base = lz4::compress(&b"abcabcabcabcabcabc_tail".repeat(8));
     for i in 0..base.len() {
         let mut m = base.clone();
         m[i] ^= 0x44;
         streams.push(m);
+    }
+    // The max-varint extensions of decode_equivalence.rs, behind one
+    // valid sequence ("a" then a 4-byte copy) so output exists when the
+    // hostile length arrives.
+    let seq = [0x10, b'a', 0x01, 0x00];
+    for (declared, head, ext) in [
+        (8, &[0xF0][..], u64::MAX),
+        (8, &[0xF0], u64::MAX - 15),
+        (8, &[0x0F, 0x01, 0x00], u64::MAX),
+        (1 << 40, &[0x0F, 0x01, 0x00], (1u64 << 33) - 15 - 4),
+    ] {
+        let mut s = Vec::new();
+        varint::write_u64(&mut s, declared);
+        s.extend_from_slice(&seq);
+        s.extend_from_slice(head);
+        varint::write_u64(&mut s, ext);
+        streams.push(s);
     }
     for s in &streams {
         let want = lz4::decompress(s);

@@ -32,6 +32,7 @@ pub mod stream;
 use cdpu_lz77::matcher::{HashTableMatcher, MatcherConfig};
 use cdpu_lz77::window::{apply_copy, DecoderScratch};
 use cdpu_lz77::Parse;
+use cdpu_util::stream::{ElementCursor, ElementProgress, ElementStop};
 use cdpu_util::varint;
 
 /// Snappy's fixed history window: 64 KiB for both directions (Section 3.6).
@@ -242,7 +243,7 @@ pub fn decompress_into<'a>(
 }
 
 fn decompress_impl(compressed: &[u8], out: &mut Vec<u8>) -> Result<(), SnappyError> {
-    let (expected, mut pos) =
+    let (expected, pos) =
         varint::read_u32(compressed).map_err(|_| SnappyError::BadPreamble)?;
     let expected = expected as u64;
     // The declared size is untrusted input, so cross-check it against what
@@ -257,82 +258,98 @@ fn decompress_impl(compressed: &[u8], out: &mut Vec<u8>) -> Result<(), SnappyErr
     let payload = (compressed.len() - pos) as u64;
     let bound = (payload / 3 + 1) * 64 + payload;
     out.reserve(expected.min(bound) as usize);
+    decode_elements(&compressed[pos..], out, ElementCursor::whole(expected)).map(drop)
+}
 
-    while pos < compressed.len() {
-        let tag = compressed[pos];
+/// The Snappy element decoder, shared by the one-shot entry points and
+/// [`stream::SnappyStreamDecoder`]: decodes whole elements of `input`
+/// (the stream after its preamble) into `out` as `cur` directs.
+pub(crate) fn decode_elements(
+    input: &[u8],
+    out: &mut Vec<u8>,
+    cur: ElementCursor,
+) -> Result<ElementProgress, SnappyError> {
+    let room = cur.room();
+    let mut pos = 0;
+    while pos < input.len() && out.len() < cur.limit {
+        let start = pos;
+        let tag = input[pos];
         pos += 1;
         match tag & 0b11 {
             0b00 => {
                 let n6 = (tag >> 2) as usize;
                 let len = if n6 < 60 {
-                    n6 + 1
+                    n6 as u64 + 1
                 } else {
                     let extra = n6 - 59; // 1..=4 extra length bytes
-                    if pos + extra > compressed.len() {
-                        return Err(SnappyError::Truncated);
+                    if pos + extra > input.len() {
+                        return cur.cut(start, None, SnappyError::Truncated);
                     }
-                    let mut v = 0usize;
+                    let mut v = 0u64;
                     for i in 0..extra {
-                        v |= (compressed[pos + i] as usize) << (8 * i);
+                        v |= (input[pos + i] as u64) << (8 * i);
                     }
                     pos += extra;
                     v + 1
                 };
-                if pos + len > compressed.len() {
-                    return Err(SnappyError::BadLiteral);
+                if len > (input.len() - pos) as u64 {
+                    if cur.at_end {
+                        return Err(SnappyError::BadLiteral);
+                    }
+                    return Ok(cur.split_literal(input, pos, len, out, None));
                 }
-                out.extend_from_slice(&compressed[pos..pos + len]);
+                let len = len as usize;
+                out.extend_from_slice(&input[pos..pos + len]);
                 pos += len;
             }
             0b01 => {
-                if pos + 1 > compressed.len() {
-                    return Err(SnappyError::Truncated);
+                if pos + 1 > input.len() {
+                    return cur.cut(start, None, SnappyError::Truncated);
                 }
                 let len = 4 + ((tag >> 2) & 0b111) as u32;
-                let offset = (((tag >> 5) as u32) << 8) | compressed[pos] as u32;
+                let offset = (((tag >> 5) as u32) << 8) | input[pos] as u32;
                 pos += 1;
                 apply_copy(out, offset, len).map_err(|_| SnappyError::BadOffset)?;
             }
             0b10 => {
-                if pos + 2 > compressed.len() {
-                    return Err(SnappyError::Truncated);
+                if pos + 2 > input.len() {
+                    return cur.cut(start, None, SnappyError::Truncated);
                 }
                 let len = 1 + (tag >> 2) as u32;
-                let offset =
-                    u16::from_le_bytes([compressed[pos], compressed[pos + 1]]) as u32;
+                let offset = u16::from_le_bytes([input[pos], input[pos + 1]]) as u32;
                 pos += 2;
                 apply_copy(out, offset, len).map_err(|_| SnappyError::BadOffset)?;
             }
             _ => {
-                if pos + 4 > compressed.len() {
-                    return Err(SnappyError::Truncated);
+                if pos + 4 > input.len() {
+                    return cur.cut(start, None, SnappyError::Truncated);
                 }
                 let len = 1 + (tag >> 2) as u32;
                 let offset = u32::from_le_bytes([
-                    compressed[pos],
-                    compressed[pos + 1],
-                    compressed[pos + 2],
-                    compressed[pos + 3],
+                    input[pos],
+                    input[pos + 1],
+                    input[pos + 2],
+                    input[pos + 3],
                 ]);
                 pos += 4;
+                // A streaming decoder's `out` holds only the retained
+                // window, so an offset past it fails here as `BadOffset`.
                 apply_copy(out, offset, len).map_err(|_| SnappyError::BadOffset)?;
             }
         }
-        if out.len() as u64 > expected {
+        if out.len() as u64 > room {
             return Err(SnappyError::LengthMismatch {
-                expected,
-                actual: out.len() as u64,
+                expected: cur.expected,
+                actual: cur.base + out.len() as u64,
             });
         }
     }
 
-    if out.len() as u64 != expected {
-        return Err(SnappyError::LengthMismatch {
-            expected,
-            actual: out.len() as u64,
-        });
+    let actual = cur.base + out.len() as u64;
+    if cur.at_end && actual != cur.expected {
+        return Err(SnappyError::LengthMismatch { expected: cur.expected, actual });
     }
-    Ok(())
+    Ok(ElementProgress { pos, stop: ElementStop::Boundary, resume: None })
 }
 
 /// Compression ratio achieved on `data` (uncompressed / compressed), the

@@ -283,7 +283,7 @@ impl std::error::Error for JsonError {}
 /// Parses one complete JSON document; trailing non-whitespace is an
 /// error.
 pub fn parse(input: &str) -> Result<Json, JsonError> {
-    let mut p = Parser { b: input.as_bytes(), i: 0 };
+    let mut p = Parser { src: input, b: input.as_bytes(), i: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -294,6 +294,7 @@ pub fn parse(input: &str) -> Result<Json, JsonError> {
 }
 
 struct Parser<'a> {
+    src: &'a str,
     b: &'a [u8],
     i: usize,
 }
@@ -442,11 +443,9 @@ impl<'a> Parser<'a> {
                 }
                 Some(c) if c < 0x20 => return Err(self.err("raw control char in string")),
                 Some(_) => {
-                    // Copy one UTF-8 scalar (input is &str, so boundaries
-                    // are valid).
-                    let rest = &self.b[self.i..];
-                    let s = unsafe { std::str::from_utf8_unchecked(rest) };
-                    let c = s.chars().next().expect("non-empty");
+                    // Copy one UTF-8 scalar: `i` only ever advances by
+                    // whole scalars, so it sits on a char boundary.
+                    let c = self.src[self.i..].chars().next().expect("non-empty");
                     out.push(c);
                     self.i += c.len_utf8();
                 }

@@ -279,6 +279,345 @@ impl VarintAccum {
     }
 }
 
+/// Where an element decoder starts in the stream and how far it may go.
+///
+/// The byte-oriented formats (Snappy, LZO, LZ4) each have one element
+/// decoder taking this cursor: the one-shot entry points run it over the
+/// whole input with [`ElementCursor::whole`], and [`ElementDecoder`] runs
+/// it over each pushed window straight into its history buffer.
+#[derive(Debug, Clone, Copy)]
+pub struct ElementCursor {
+    /// Output bytes produced before the decoder's `out[0]`, so length
+    /// checks see the stream total `base + out.len()`.
+    pub base: u64,
+    /// The length the preamble declared.
+    pub expected: u64,
+    /// Stop at the first element boundary where `out.len() >= limit`.
+    pub limit: usize,
+    /// The input runs to the end of the stream: an incomplete element is
+    /// the format's truncation error, and a total other than `expected`
+    /// is a length mismatch. Otherwise the decoder stops before the
+    /// incomplete element and reports an [`ElementStop`].
+    pub at_end: bool,
+    /// The first byte of a sequence whose literal half is already done
+    /// (LZ4's token, whose low nibble the match half still needs); `None`
+    /// at an element boundary.
+    pub resume: Option<u8>,
+}
+
+impl ElementCursor {
+    /// The one-shot cursor: the whole stream in one input, no output limit.
+    pub const fn whole(expected: u64) -> Self {
+        ElementCursor { base: 0, expected, limit: usize::MAX, at_end: true, resume: None }
+    }
+
+    /// How many bytes `out` may hold before the declared length is exceeded.
+    pub const fn room(&self) -> u64 {
+        self.expected.saturating_sub(self.base)
+    }
+
+    /// Stop before an element whose header starts at `pos` and is cut
+    /// short by the end of the input: with `at_end` that is `err`.
+    ///
+    /// # Errors
+    ///
+    /// `err` when the cursor is at the end of the stream.
+    pub fn cut<E>(&self, pos: usize, resume: Option<u8>, err: E) -> Result<ElementProgress, E> {
+        if self.at_end {
+            return Err(err);
+        }
+        Ok(ElementProgress { pos, stop: ElementStop::Header, resume })
+    }
+
+    /// Decodes an extension varint at the front of `input`: `Ok(None)`
+    /// when more input could still complete it, `err` when it is
+    /// malformed or the stream ends inside it.
+    ///
+    /// # Errors
+    ///
+    /// `err`, as the one-shot decoders report any bad extension.
+    pub fn ext_varint<E>(&self, input: &[u8], err: E) -> Result<Option<(u64, usize)>, E> {
+        match crate::varint::read_u64(input) {
+            Ok(v) => Ok(Some(v)),
+            Err(crate::varint::VarintError::Truncated) if !self.at_end => Ok(None),
+            Err(_) => Err(err),
+        }
+    }
+
+    /// Stop inside a `len`-byte literal whose first bytes are the rest of
+    /// `input` (from `pos`). They are copied to `out` unless the literal
+    /// overruns the declared length; then they are swallowed, and the
+    /// length mismatch fires once the whole literal has arrived — the
+    /// one-shot order, where a literal cut short by the end of input is
+    /// a truncation whatever its length.
+    pub fn split_literal(
+        &self,
+        input: &[u8],
+        pos: usize,
+        len: u64,
+        out: &mut Vec<u8>,
+        resume: Option<u8>,
+    ) -> ElementProgress {
+        let total = (out.len() as u64).saturating_add(len);
+        let overrun = (total > self.room()).then(|| self.base.saturating_add(total));
+        if overrun.is_none() {
+            out.extend_from_slice(&input[pos..]);
+        }
+        let remaining = len - (input.len() - pos) as u64;
+        let stop = ElementStop::Literal { remaining, overrun };
+        ElementProgress { pos: input.len(), stop, resume }
+    }
+}
+
+/// Why an element decoder returned before the end of its input, or at
+/// it without `at_end`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ElementStop {
+    /// At an element boundary: the input is used up or the output limit
+    /// was reached.
+    Boundary,
+    /// The input ends inside an element header, which starts at the
+    /// returned position.
+    Header,
+    /// The input ends inside a literal, `remaining` bytes short. `overrun`
+    /// is the stream total the literal reaches when that exceeds the
+    /// declared length; its bytes are then swallowed, not output.
+    Literal {
+        /// Literal bytes still to come.
+        remaining: u64,
+        /// The length-mismatch total to report once they have come.
+        overrun: Option<u64>,
+    },
+}
+
+/// Where an element decoder stopped.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ElementProgress {
+    /// Input bytes consumed: whole elements, plus the header and bytes of
+    /// a split literal.
+    pub pos: usize,
+    /// Why the decoder stopped.
+    pub stop: ElementStop,
+    /// The [`ElementCursor::resume`] byte the next call must start with.
+    pub resume: Option<u8>,
+}
+
+/// A byte-oriented element grammar: its one element decoder plus the
+/// error values the streaming wrapper reports itself.
+pub trait ElementGrammar {
+    /// The codec's decode error.
+    type Error: Copy + std::fmt::Display;
+    /// Error for a malformed, missing or too-large length preamble.
+    const BAD_PREAMBLE: Self::Error;
+    /// Largest declared length the format allows.
+    const MAX_LEN: u64;
+    /// The format's history window: the farthest a copy reaches back.
+    const WINDOW: usize;
+    /// Error when the stream ends inside a literal's bytes.
+    const CUT_LITERAL: Self::Error;
+
+    /// The length-mismatch error.
+    fn length_mismatch(expected: u64, actual: u64) -> Self::Error;
+
+    /// Decodes whole elements from `input` (after the preamble) into
+    /// `out` as `cursor` directs.
+    ///
+    /// # Errors
+    ///
+    /// The codec's error for the first invalid element.
+    fn decode(
+        input: &[u8],
+        out: &mut Vec<u8>,
+        cursor: ElementCursor,
+    ) -> Result<ElementProgress, Self::Error>;
+}
+
+/// Carry size: longer than any element-header prefix the grammars can
+/// leave undecided (Snappy 4 bytes, LZO 12, LZ4's match half 12 with its
+/// token held in the resume byte), so a full carry always decodes.
+const CARRY: usize = 16;
+
+/// Streaming decoder for an [`ElementGrammar`]: it runs the grammar's
+/// element decoder over each pushed window directly into a sliding
+/// [`HistBuf`]. Between pushes it keeps the length preamble's
+/// [`VarintAccum`], a fixed carry holding at most one element header cut
+/// by a window edge, and the remainder of a literal split by one. Output
+/// bytes and error values match the one-shot decoder for any chunking.
+pub struct ElementDecoder<G: ElementGrammar> {
+    pre: VarintAccum,
+    expected: Option<u64>,
+    carry: [u8; CARRY],
+    carry_len: usize,
+    resume: Option<u8>,
+    /// A split literal: bytes still due and its overrun total, if any.
+    lit: Option<(u64, Option<u64>)>,
+    hist: HistBuf,
+    err: Option<G::Error>,
+    finished: bool,
+}
+
+/// Stop decoding while this much output is staged undrained.
+const HIGH_WATER: usize = 256 * 1024;
+
+impl<G: ElementGrammar> Default for ElementDecoder<G> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl<G: ElementGrammar> ElementDecoder<G> {
+    /// Creates a decoder positioned at the length preamble.
+    pub fn new() -> Self {
+        ElementDecoder {
+            pre: VarintAccum::new(),
+            expected: None,
+            carry: [0; CARRY],
+            carry_len: 0,
+            resume: None,
+            lit: None,
+            hist: HistBuf::new(G::WINDOW),
+            err: None,
+            finished: false,
+        }
+    }
+
+    /// Feeds compressed bytes; the trait `push` with the codec's precise
+    /// error type. Errors are sticky.
+    ///
+    /// # Errors
+    ///
+    /// The error the one-shot decoder reports at the equivalent point in
+    /// the element stream.
+    pub fn push_bytes(
+        &mut self,
+        input: &[u8],
+        out: &mut [u8],
+    ) -> Result<StreamProgress, G::Error> {
+        if let Some(e) = self.err {
+            return Err(e);
+        }
+        let mut i = 0;
+        if let Err(e) = self.feed(input, &mut i) {
+            self.err = Some(e);
+            return Err(e);
+        }
+        Ok(StreamProgress { consumed: i, written: self.hist.drain_into(out) })
+    }
+
+    fn cursor(&self, expected: u64, limit: usize, at_end: bool) -> ElementCursor {
+        ElementCursor { base: self.hist.dropped, expected, limit, at_end, resume: self.resume }
+    }
+
+    fn feed(&mut self, input: &[u8], i: &mut usize) -> Result<(), G::Error> {
+        while *i < input.len() && self.hist.undrained() < HIGH_WATER {
+            let Some(expected) = self.expected else {
+                let (used, done) = self.pre.feed(&input[*i..]);
+                *i += used;
+                if let Some(res) = done {
+                    let len = res.ok().filter(|&v| v <= G::MAX_LEN);
+                    self.expected = Some(len.ok_or(G::BAD_PREAMBLE)?);
+                }
+                continue;
+            };
+            if let Some((remaining, overrun)) = self.lit {
+                let take = remaining.min((input.len() - *i) as u64) as usize;
+                if overrun.is_none() {
+                    self.hist.sink().extend_from_slice(&input[*i..*i + take]);
+                }
+                *i += take;
+                let remaining = remaining - take as u64;
+                self.lit = (remaining > 0).then_some((remaining, overrun));
+                if let (0, Some(actual)) = (remaining, overrun) {
+                    return Err(G::length_mismatch(expected, actual));
+                }
+                continue;
+            }
+            let cursor = self.cursor(expected, self.hist.drained + HIGH_WATER, false);
+            let p = if self.carry_len == 0 {
+                let p = G::decode(&input[*i..], self.hist.sink(), cursor)?;
+                *i += p.pos;
+                if p.stop == ElementStop::Header {
+                    // The rest of the input is one incomplete header.
+                    let tail = &input[*i..];
+                    self.carry[..tail.len()].copy_from_slice(tail);
+                    self.carry_len = tail.len();
+                    *i = input.len();
+                }
+                p
+            } else {
+                let old = self.carry_len;
+                let take = (CARRY - old).min(input.len() - *i);
+                self.carry[old..old + take].copy_from_slice(&input[*i..*i + take]);
+                let p = G::decode(&self.carry[..old + take], self.hist.sink(), cursor)?;
+                if p.pos == 0 {
+                    // Still one incomplete header: it took all the input.
+                    assert!(old + take < CARRY, "a full carry always decodes");
+                    self.carry_len = old + take;
+                    *i += take;
+                    continue;
+                }
+                // The carried header completed; a header cut after it
+                // is re-read from the input on the next turn.
+                self.carry_len = 0;
+                *i += p.pos - old;
+                p
+            };
+            self.resume = p.resume;
+            if let ElementStop::Literal { remaining, overrun } = p.stop {
+                self.lit = Some((remaining, overrun));
+            }
+        }
+        Ok(())
+    }
+
+    /// Declares end-of-input; the trait `finish` with the codec's precise
+    /// error type.
+    ///
+    /// # Errors
+    ///
+    /// The error the one-shot decoder reports for the equivalent
+    /// truncated stream, or a length mismatch.
+    pub fn finish_bytes(&mut self, out: &mut [u8]) -> Result<(usize, bool), G::Error> {
+        if let Some(e) = self.err {
+            return Err(e);
+        }
+        if !self.finished {
+            if let Err(e) = self.end() {
+                self.err = Some(e);
+                return Err(e);
+            }
+            self.finished = true;
+        }
+        let n = self.hist.drain_into(out);
+        Ok((n, self.hist.undrained() == 0))
+    }
+
+    /// Decodes the carry as the end of the stream, so a cut header gets
+    /// the one-shot decoder's own error.
+    fn end(&mut self) -> Result<(), G::Error> {
+        let expected = self.expected.ok_or(G::BAD_PREAMBLE)?;
+        if self.lit.is_some() {
+            return Err(G::CUT_LITERAL);
+        }
+        let cursor = self.cursor(expected, usize::MAX, true);
+        G::decode(&self.carry[..self.carry_len], self.hist.sink(), cursor).map(drop)
+    }
+}
+
+impl<G: ElementGrammar> StreamDecoder for ElementDecoder<G> {
+    fn push(&mut self, input: &[u8], out: &mut [u8]) -> Result<StreamProgress, StreamError> {
+        self.push_bytes(input, out).map_err(|e| StreamError::Corrupt(e.to_string()))
+    }
+
+    fn finish(&mut self, out: &mut [u8]) -> Result<(usize, bool), StreamError> {
+        self.finish_bytes(out).map_err(|e| StreamError::Corrupt(e.to_string()))
+    }
+
+    fn scratch_bytes(&self) -> usize {
+        self.hist.capacity()
+    }
+}
+
 /// Runs `input` through an encoder in `chunk`-sized windows, appending
 /// everything produced to `out`. Returns the peak `scratch_bytes`
 /// observed, which is also folded into the `stream.scratch.peak_bytes`
