@@ -11,11 +11,12 @@ cargo build --release --workspace
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 
-echo "==> release tests of the byte-oriented codecs with overflow checks on"
+echo "==> release tests of the codecs and bit/entropy kernels with overflow checks on"
 # A separate target dir keeps the overflow-checked build from replacing
 # the release artifacts the smokes below run.
 CARGO_TARGET_DIR=target/overflow-checks CARGO_PROFILE_RELEASE_OVERFLOW_CHECKS=true \
-    cargo test --release -q -p cdpu-snappy -p cdpu-lite
+    cargo test --release -q -p cdpu-snappy -p cdpu-lite -p cdpu-util -p cdpu-entropy \
+    -p cdpu-zstd -p cdpu-flate
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings

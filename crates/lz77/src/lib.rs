@@ -116,14 +116,26 @@ impl Parse {
     ///
     /// Panics if `src` is shorter than [`Parse::total_len`].
     pub fn literal_bytes(&self, src: &[u8]) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.literal_len());
+        let mut out = Vec::new();
+        self.literal_bytes_into(src, &mut out);
+        out
+    }
+
+    /// Appends the concatenated literal bytes to `out`: the allocation-free
+    /// form of [`Parse::literal_bytes`] for encoders that reuse one buffer
+    /// across blocks.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `src` is shorter than [`Parse::total_len`].
+    pub fn literal_bytes_into(&self, src: &[u8], out: &mut Vec<u8>) {
+        out.reserve_exact(self.literal_len());
         let mut pos = 0usize;
         for s in &self.seqs {
             out.extend_from_slice(&src[pos..pos + s.lit_len as usize]);
             pos += (s.lit_len + s.match_len) as usize;
         }
         out.extend_from_slice(&src[pos..pos + self.last_literals as usize]);
-        out
     }
 }
 

@@ -49,16 +49,16 @@ pub fn compress_with_dict(data: &[u8], cfg: &ZstdConfig, dict: &[u8]) -> Vec<u8>
 
     let chunks = crate::split_parse(&parse, crate::MAX_BLOCK_SIZE);
     let mut stats = crate::ZstdStats::default();
-    let mut payload = Vec::new();
+    let mut scratch = crate::BlockScratch::default();
     let mut pos = 0usize;
     for (i, chunk) in chunks.iter().enumerate() {
         let last = i + 1 == chunks.len();
         let len = chunk.total_len();
-        crate::emit_block(&data[pos..pos + len], chunk, last, &mut out, &mut stats, &mut payload, &cfg.entropy);
+        crate::emit_block(&data[pos..pos + len], chunk, last, &mut out, &mut stats, &mut scratch, &cfg.entropy);
         pos += len;
     }
     if chunks.is_empty() {
-        crate::emit_block(b"", &Parse::default(), true, &mut out, &mut stats, &mut payload, &cfg.entropy);
+        crate::emit_block(b"", &Parse::default(), true, &mut out, &mut stats, &mut scratch, &cfg.entropy);
     }
     out
 }

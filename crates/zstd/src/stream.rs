@@ -27,7 +27,7 @@
 
 use crate::block::{apply_block, decode_block_entropy};
 use crate::{
-    block, emit_block, Splitter, ZstdConfig, ZstdError, ZstdStats, MAGIC, MAX_BLOCK_SIZE,
+    block, emit_block, BlockScratch, Splitter, ZstdConfig, ZstdError, ZstdStats, MAGIC, MAX_BLOCK_SIZE,
 };
 use cdpu_lz77::stream::{ParseEvent, StreamParser};
 use cdpu_lz77::{Parse, Seq};
@@ -61,7 +61,7 @@ pub struct ZstdStreamEncoder {
     emitted: usize,
     total: usize,
     out: OutBuf,
-    payload: Vec<u8>,
+    scratch: BlockScratch,
     stats: ZstdStats,
     entropy: crate::EntropyConfig,
     finished: bool,
@@ -87,7 +87,7 @@ impl ZstdStreamEncoder {
             emitted: 0,
             total,
             out,
-            payload: Vec::new(),
+            scratch: BlockScratch::default(),
             stats: ZstdStats::default(),
             entropy: cfg.entropy,
             finished: false,
@@ -122,7 +122,7 @@ impl ZstdStreamEncoder {
                 last,
                 self.out.sink(),
                 &mut self.stats,
-                &mut self.payload,
+                &mut self.scratch,
                 &self.entropy,
             );
             head += len;
@@ -139,7 +139,7 @@ impl ZstdStreamEncoder {
                 true,
                 self.out.sink(),
                 &mut self.stats,
-                &mut self.payload,
+                &mut self.scratch,
                 &self.entropy,
             );
         }
@@ -178,7 +178,7 @@ impl StreamEncoder for ZstdStreamEncoder {
         self.parser.scratch_bytes()
             + self.data.capacity()
             + self.out.capacity()
-            + self.payload.capacity()
+            + self.scratch.capacity()
     }
 }
 
@@ -543,7 +543,7 @@ pub fn compress_pipelined(data: &[u8], cfg: &ZstdConfig) -> Vec<u8> {
         |rx| {
             // Stage B: entropy-encode and assemble, in block order.
             let mut stats = ZstdStats::default();
-            let mut payload = Vec::new();
+            let mut scratch = BlockScratch::default();
             let mut any = false;
             for (start, chunk) in rx {
                 let chunk: Parse = chunk;
@@ -555,13 +555,13 @@ pub fn compress_pipelined(data: &[u8], cfg: &ZstdConfig) -> Vec<u8> {
                     last,
                     &mut out,
                     &mut stats,
-                    &mut payload,
+                    &mut scratch,
                     &entropy,
                 );
                 any = true;
             }
             if !any {
-                emit_block(b"", &Parse::default(), true, &mut out, &mut stats, &mut payload, &entropy);
+                emit_block(b"", &Parse::default(), true, &mut out, &mut stats, &mut scratch, &entropy);
             }
         },
     );
